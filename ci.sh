@@ -24,6 +24,13 @@ echo "==> cargo test (simd feature disabled at compile time)"
 # and pass its own suite with no intrinsics compiled at all.
 cargo test -q -p hierbus-power --no-default-features
 
+echo "==> benchmark package tests (tiny sizes)"
+# The benchmark is a cargo package of its own, so the workspace runs
+# above never build it. Its tests run every workload at tiny size and
+# check the served bytes against the batch harness and the cache
+# counters against the workload's arithmetic.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

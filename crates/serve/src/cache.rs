@@ -16,19 +16,46 @@
 //! of replaying stale energies.
 
 use hierbus_campaign::Json;
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Version of the persisted index format; bumped on layout changes so
 /// an old index is discarded, never misread.
 pub const CACHE_INDEX_VERSION: u64 = 1;
 
+/// Link value meaning "no slot" at either end of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One cached result, threaded on the doubly linked recency list.
+#[derive(Debug, Clone)]
+struct Slot {
+    /// Shared with the lookup map, so a key is allocated once.
+    key: Arc<str>,
+    value: String,
+    /// The next older slot (`NIL` at the least recently used end).
+    older: usize,
+    /// The next newer slot (`NIL` at the most recently used end).
+    newer: usize,
+}
+
 /// A bounded LRU map from scenario fingerprint to serialized result.
+///
+/// A hash map finds a key's slot; the slots form a doubly linked list
+/// in recency order, so `get`, `insert` and eviction are each O(1). A
+/// full cache reuses the evicted slot for the new entry, so slots are
+/// never freed and `len` is the slot count.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     capacity: usize,
-    /// Entries oldest-first; a lookup moves its entry to the back.
-    entries: Vec<(String, String)>,
+    /// Fingerprint → index into `slots`.
+    map: HashMap<Arc<str>, usize>,
+    slots: Vec<Slot>,
+    /// Least recently used slot (`NIL` when empty).
+    oldest: usize,
+    /// Most recently used slot (`NIL` when empty).
+    newest: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -39,7 +66,10 @@ impl ResultCache {
     pub fn new(capacity: usize) -> Self {
         ResultCache {
             capacity: capacity.max(1),
-            entries: Vec::new(),
+            map: HashMap::new(),
+            slots: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -48,12 +78,12 @@ impl ResultCache {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// The eviction bound.
@@ -79,13 +109,11 @@ impl ResultCache {
     /// Looks up a fingerprint, counting the hit or miss and refreshing
     /// the entry's recency on a hit.
     pub fn get(&mut self, key: &str) -> Option<String> {
-        match self.entries.iter().position(|(k, _)| k == key) {
-            Some(i) => {
+        match self.map.get(key) {
+            Some(&i) => {
                 self.hits += 1;
-                let entry = self.entries.remove(i);
-                let value = entry.1.clone();
-                self.entries.push(entry);
-                Some(value)
+                self.make_newest(i);
+                Some(self.slots[i].value.clone())
             }
             None => {
                 self.misses += 1;
@@ -97,14 +125,73 @@ impl ResultCache {
     /// Inserts (or refreshes) an entry as most recently used, evicting
     /// the least recently used entry if the cache is full.
     pub fn insert(&mut self, key: &str, value: String) {
-        if let Some(i) = self.entries.iter().position(|(k, _)| k == key) {
-            self.entries.remove(i);
+        if let Some(&i) = self.map.get(key) {
+            self.slots[i].value = value;
+            self.make_newest(i);
+            return;
         }
-        self.entries.push((key.to_owned(), value));
-        while self.entries.len() > self.capacity {
-            self.entries.remove(0);
+        let key: Arc<str> = Arc::from(key);
+        let i = if self.slots.len() < self.capacity {
+            self.slots.push(Slot {
+                key: Arc::clone(&key),
+                value,
+                older: NIL,
+                newer: NIL,
+            });
+            self.slots.len() - 1
+        } else {
+            let i = self.oldest;
+            self.unlink(i);
+            self.map.remove(&self.slots[i].key);
             self.evictions += 1;
+            self.slots[i].key = Arc::clone(&key);
+            self.slots[i].value = value;
+            i
+        };
+        self.map.insert(key, i);
+        self.push_newest(i);
+    }
+
+    /// Moves slot `i` to the most recently used end.
+    fn make_newest(&mut self, i: usize) {
+        if i != self.newest {
+            self.unlink(i);
+            self.push_newest(i);
         }
+    }
+
+    /// Detaches slot `i` from the recency list.
+    fn unlink(&mut self, i: usize) {
+        let Slot { older, newer, .. } = self.slots[i];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n].older = older,
+        }
+    }
+
+    /// Appends a detached slot `i` at the most recently used end.
+    fn push_newest(&mut self, i: usize) {
+        self.slots[i].older = self.newest;
+        self.slots[i].newer = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slots[n].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// The entries oldest first.
+    fn iter_oldest_first(&self) -> impl Iterator<Item = &Slot> {
+        let mut i = self.oldest;
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(i)?;
+            i = slot.newer;
+            Some(slot)
+        })
     }
 
     /// The persisted form: version, database fingerprint, entries in
@@ -116,12 +203,14 @@ impl ResultCache {
             (
                 "entries".to_owned(),
                 Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|(k, v)| {
+                    self.iter_oldest_first()
+                        .map(|slot| {
                             Json::Obj(vec![
-                                ("key".to_owned(), Json::Str(k.clone())),
-                                ("result".to_owned(), Json::parse(v).unwrap_or(Json::Null)),
+                                ("key".to_owned(), Json::Str(slot.key.to_string())),
+                                (
+                                    "result".to_owned(),
+                                    Json::parse(&slot.value).unwrap_or(Json::Null),
+                                ),
                             ])
                         })
                         .collect(),
@@ -242,6 +331,119 @@ mod tests {
         back.insert("d", value(4));
         assert!(back.get("c").is_none());
         assert_eq!(back.get("a"), Some(value(1)));
+    }
+
+    /// The reference LRU the O(1) cache must agree with: entries kept
+    /// oldest first in a `Vec`, every operation a linear scan.
+    struct VecLru {
+        capacity: usize,
+        entries: Vec<(String, String)>,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl VecLru {
+        fn new(capacity: usize) -> Self {
+            VecLru {
+                capacity,
+                entries: Vec::new(),
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }
+        }
+
+        fn get(&mut self, key: &str) -> Option<String> {
+            match self.entries.iter().position(|(k, _)| k == key) {
+                Some(i) => {
+                    self.hits += 1;
+                    let entry = self.entries.remove(i);
+                    let value = entry.1.clone();
+                    self.entries.push(entry);
+                    Some(value)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, key: &str, value: String) {
+            if let Some(i) = self.entries.iter().position(|(k, _)| k == key) {
+                self.entries.remove(i);
+            }
+            self.entries.push((key.to_owned(), value));
+            while self.entries.len() > self.capacity {
+                self.entries.remove(0);
+                self.evictions += 1;
+            }
+        }
+
+        /// The persisted index the reference would write, in the same
+        /// layout as [`ResultCache::to_json`].
+        fn to_json(&self, db_fingerprint: &str) -> Json {
+            Json::Obj(vec![
+                ("version".to_owned(), Json::Num(CACHE_INDEX_VERSION as f64)),
+                ("db".to_owned(), Json::Str(db_fingerprint.to_owned())),
+                (
+                    "entries".to_owned(),
+                    Json::Arr(
+                        self.entries
+                            .iter()
+                            .map(|(k, v)| {
+                                Json::Obj(vec![
+                                    ("key".to_owned(), Json::Str(k.clone())),
+                                    ("result".to_owned(), Json::parse(v).unwrap()),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ])
+        }
+    }
+
+    #[test]
+    fn agrees_with_the_reference_lru_on_a_random_stream() {
+        let mut rng = hierbus_sim::SplitMix64::new(0x1C0DE);
+        for capacity in [1usize, 2, 3, 64] {
+            let mut cache = ResultCache::new(capacity);
+            let mut model = VecLru::new(capacity);
+            // Twice as many keys as slots, so gets both hit and miss
+            // and inserts both refresh and evict.
+            let keys = 2 * capacity as u64 + 1;
+            for step in 0..3000 {
+                let key = format!("k{}", rng.range_u64(0, keys));
+                if rng.chance(50) {
+                    assert_eq!(
+                        cache.get(&key),
+                        model.get(&key),
+                        "capacity {capacity}, step {step}: get({key})"
+                    );
+                } else {
+                    let v = value(rng.next_u64() % 1000);
+                    cache.insert(&key, v.clone());
+                    model.insert(&key, v);
+                }
+                assert_eq!(
+                    (cache.hits(), cache.misses(), cache.evictions(), cache.len()),
+                    (
+                        model.hits,
+                        model.misses,
+                        model.evictions,
+                        model.entries.len()
+                    ),
+                    "capacity {capacity}, step {step}: counters"
+                );
+                assert_eq!(
+                    cache.to_json("db").to_string_pretty(),
+                    model.to_json("db").to_string_pretty(),
+                    "capacity {capacity}, step {step}: persisted recency order"
+                );
+            }
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ use hierbus_obs::telemetry::{
 use hierbus_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry, TraceCollector};
 use hierbus_power::CharacterizationDb;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -61,6 +61,12 @@ use std::time::{Duration, Instant};
 
 /// Default bound on cached results.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
+
+/// Longest request line the reader accepts (bytes, terminator
+/// excluded). A longer line is skipped without being buffered and is
+/// answered with an `error` event, so one client line cannot grow the
+/// daemon's memory without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Requests a [`SloWindow`] aggregates over.
 const SLO_WINDOW: usize = 256;
@@ -383,7 +389,7 @@ impl Daemon {
     ///
     /// The first write error of the session (the drain still
     /// completes), or an I/O error flushing the cache index.
-    pub fn serve<R, W>(&self, input: R, output: W) -> io::Result<ServeSummary>
+    pub fn serve<R, W>(&self, mut input: R, output: W) -> io::Result<ServeSummary>
     where
         R: BufRead + Send,
         W: Write + Send,
@@ -403,12 +409,21 @@ impl Daemon {
 
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                for line in input.lines() {
-                    let Ok(line) = line else { break };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match parse_request(&line) {
+                let mut buf = Vec::new();
+                loop {
+                    let parsed = match read_bounded_line(&mut input, &mut buf) {
+                        Ok(LineRead::Eof) | Err(_) => break,
+                        Ok(LineRead::TooLong) => Err((
+                            String::new(),
+                            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                        )),
+                        Ok(LineRead::Line) => match std::str::from_utf8(&buf) {
+                            Ok(line) if line.trim().is_empty() => continue,
+                            Ok(line) => parse_request(line),
+                            Err(_) => Err((String::new(), "request is not valid UTF-8".to_owned())),
+                        },
+                    };
+                    match parsed {
                         Ok(Request {
                             id,
                             op: Op::Shutdown,
@@ -793,24 +808,21 @@ impl Daemon {
     ) {
         let started = Instant::now();
         let queue_us = enqueued.elapsed().as_micros() as u64;
-        let mut scenarios = Vec::with_capacity(specs.len());
-        let (mut singles, mut multis) = (0u64, 0u64);
+        // A bad spec fails the whole request before any result streams.
+        // Nothing is materialized here: a hit never runs, and a miss is
+        // built on the pool worker that runs it.
         for (i, spec) in specs.iter().enumerate() {
-            match spec.materialize() {
-                Ok(s) => {
-                    match s {
-                        proto::Materialized::Single(_) => singles += 1,
-                        proto::Materialized::Multi(_) => multis += 1,
-                    }
-                    scenarios.push(s);
-                }
-                Err(e) => {
-                    self.emit_error(emitter, id, &format!("scenarios[{i}]: {e}"));
-                    summary.requests += 1;
-                    return;
-                }
+            if let Err(e) = spec.validate() {
+                self.emit_error(emitter, id, &format!("scenarios[{i}]: {e}"));
+                summary.requests += 1;
+                return;
             }
         }
+        let multis = specs
+            .iter()
+            .filter(|s| matches!(s, proto::ScenarioSpec::Multi { .. }))
+            .count() as u64;
+        let singles = specs.len() as u64 - multis;
         let keys: Vec<String> = specs.iter().map(|s| s.fingerprint(&self.db_fp)).collect();
         let tracing = !self.telemetry.lock().unwrap().traces.is_disabled();
         let trace = format!("t{}", self.trace_seq.fetch_add(1, Ordering::Relaxed) + 1);
@@ -821,9 +833,10 @@ impl Daemon {
         });
 
         // Cache pass: answer hits immediately (in request order),
-        // collect misses deduplicated by fingerprint.
+        // collect misses deduplicated by fingerprint, each with the
+        // index of its first spec.
         let mut miss_keys: Vec<String> = Vec::new();
-        let mut miss_scenarios = Vec::new();
+        let mut miss_specs: Vec<usize> = Vec::new();
         let mut miss_targets: Vec<Vec<usize>> = Vec::new();
         let (hits, misses, evictions_before) = {
             let mut cache = self.cache.lock().unwrap();
@@ -837,7 +850,7 @@ impl Daemon {
                         Some(j) => miss_targets[j].push(i),
                         None => {
                             miss_keys.push(key.clone());
-                            miss_scenarios.push(scenarios[i].clone());
+                            miss_specs.push(i);
                             miss_targets.push(vec![i]);
                         }
                     }
@@ -867,13 +880,15 @@ impl Daemon {
                 &opts,
                 || ServeSession::new(&self.db),
                 |session, point| {
+                    let scenario = specs[miss_specs[point.index]]
+                        .materialize()
+                        .expect("specs are validated before the cache pass");
                     if tracing && point.index < LAYER_SPAN_CAP {
-                        let (result, collector) =
-                            session.run_observed(&miss_scenarios[point.index]);
+                        let (result, collector) = session.run_observed(&scenario);
                         layer_caps.lock().unwrap().push((point.index, collector));
                         result
                     } else {
-                        session.run_materialized(&miss_scenarios[point.index])
+                        session.run_materialized(&scenario)
                     }
                 },
                 |scope: &SinkScope, result: &LeanResult| {
@@ -994,14 +1009,17 @@ impl Daemon {
         fields.push(("index".to_owned(), Json::Num(index as f64)));
         fields.push(("key".to_owned(), Json::Str(key.to_owned())));
         fields.push(("cached".to_owned(), Json::Bool(cached)));
-        // The cached bytes round-trip the serializer unchanged
-        // (shortest-round-trip floats), so a replayed result field is
-        // byte-identical to the fresh one.
-        fields.push((
-            "result".to_owned(),
-            Json::parse(bytes).expect("cache holds serialized results"),
-        ));
-        emitter.emit(fields);
+        // The result goes last, spliced in as the cached compact bytes
+        // instead of parsed and re-serialized: they are the serializer's
+        // own output and `serialize(parse(bytes))` is the identity
+        // (shortest-round-trip floats), so the line is byte-identical to
+        // the serialized event with a parsed result field.
+        let mut line = Json::Obj(fields).to_string_compact();
+        line.pop(); // the object's closing brace
+        line.push_str(",\"result\":");
+        line.push_str(bytes);
+        line.push('}');
+        emitter.emit_line(line);
     }
 
     fn health_event(&self, id: &str) -> Vec<(String, Json)> {
@@ -1123,13 +1141,18 @@ impl<W: Write> Emitter<W> {
     }
 
     fn emit(&self, fields: Vec<(String, Json)>) {
+        self.emit_line(Json::Obj(fields).to_string_compact());
+    }
+
+    /// Writes one serialized event and its newline in a single write.
+    fn emit_line(&self, mut line: String) {
         let mut error = self.error.lock().unwrap();
         if error.is_some() {
             return;
         }
-        let line = Json::Obj(fields).to_string_compact();
+        line.push('\n');
         let mut out = self.out.lock().unwrap();
-        if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
+        if let Err(e) = out.write_all(line.as_bytes()).and_then(|()| out.flush()) {
             *error = Some(e);
         }
     }
@@ -1140,6 +1163,38 @@ impl<W: Write> Emitter<W> {
             None => Ok(()),
         }
     }
+}
+
+/// The outcome of one [`read_bounded_line`].
+enum LineRead {
+    /// Input ended before any byte of a new line.
+    Eof,
+    /// A whole line (terminator stripped) is in the buffer.
+    Line,
+    /// The line exceeded [`MAX_LINE_BYTES`]; its remainder was consumed
+    /// and dropped.
+    TooLong,
+}
+
+/// Reads one line into `buf` (cleared first), buffering at most
+/// [`MAX_LINE_BYTES`] of it. A final line without a terminator counts
+/// as a line; `\n` and `\r\n` terminators are stripped.
+fn read_bounded_line<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> io::Result<LineRead> {
+    buf.clear();
+    let read = <&mut R as Read>::take(input, MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf)?;
+    if read == 0 {
+        return Ok(LineRead::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        input.skip_until(b'\n')?;
+        return Ok(LineRead::TooLong);
+    }
+    Ok(LineRead::Line)
 }
 
 /// What the reader thread queues for the serving loop.

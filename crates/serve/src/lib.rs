@@ -33,7 +33,7 @@ pub mod session;
 pub mod telemetry;
 
 pub use cache::{ResultCache, CACHE_INDEX_VERSION};
-pub use daemon::{Daemon, DaemonOptions, ServeSummary, DEFAULT_CACHE_CAPACITY};
+pub use daemon::{Daemon, DaemonOptions, ServeSummary, DEFAULT_CACHE_CAPACITY, MAX_LINE_BYTES};
 pub use proto::{
     parse_request, Materialized, Op, Request, ScenarioSpec, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
     RESULT_FORMAT_VERSION,

@@ -364,6 +364,16 @@ impl ScenarioSpec {
             .finish()
     }
 
+    /// Checks that [`materialize`](Self::materialize) will succeed
+    /// without building a mix or multi workload: only a named spec can
+    /// fail, and a canned scenario is cheap to look up.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            ScenarioSpec::Named { .. } => self.materialize().map(drop),
+            ScenarioSpec::Mix { .. } | ScenarioSpec::Multi { .. } => Ok(()),
+        }
+    }
+
     /// Builds the concrete workload, or an error for an unknown name.
     pub fn materialize(&self) -> Result<Materialized, String> {
         match self {

@@ -3,7 +3,7 @@
 //! results at every worker count — the serve-side analog of
 //! `campaign_determinism.rs`.
 
-use hierbus::serve::{Daemon, DaemonOptions, ScenarioSpec};
+use hierbus::serve::{proto, Daemon, DaemonOptions, ScenarioSpec};
 use hierbus_campaign::Json;
 use hierbus_ec::MixParams;
 use hierbus_power::CharacterizationDb;
@@ -179,6 +179,112 @@ fn within_request_duplicates_simulate_once() {
     assert_eq!(bytes[0], bytes[1]);
     assert_eq!(bytes[1], bytes[2]);
     assert_eq!(d.cache_len(), 1, "one simulation serves all duplicates");
+}
+
+#[test]
+fn unknown_named_spec_fails_the_request_even_among_cached_specs() {
+    // The names are checked before the cache pass, so the cached specs
+    // in front of the bad one must not stream a result either.
+    let d = daemon(2, 64);
+    let s = specs(3);
+    let mut bad = run_request("bad", &s);
+    bad.truncate(bad.len() - 2); // drop the closing `]}`
+    bad.push_str(r#",{"kind":"named","name":"no_such_scenario"}]}"#);
+    let script = [run_request("fill", &s), bad].join("\n");
+    let mut output = Vec::new();
+    let summary = d
+        .serve(Cursor::new(script), &mut output)
+        .expect("in-memory session");
+    let bad_events: Vec<Json> = String::from_utf8(output)
+        .expect("utf-8")
+        .lines()
+        .map(|l| Json::parse(l).expect("response line parses"))
+        .filter(|e| e.get("req").and_then(Json::as_str) == Some("bad"))
+        .collect();
+    assert_eq!(bad_events.len(), 1, "exactly one event for the bad request");
+    assert_eq!(
+        bad_events[0].get("event").and_then(Json::as_str),
+        Some("error")
+    );
+    let message = bad_events[0].get("message").unwrap().as_str().unwrap();
+    assert!(
+        message.starts_with("scenarios[3]: unknown scenario name"),
+        "{message}"
+    );
+    // The failed request never touched the cache.
+    assert_eq!((summary.cache_hits, summary.cache_misses), (0, 3));
+}
+
+#[test]
+fn result_lines_equal_the_serialized_event_at_1_2_4_workers() {
+    // Result events splice the cached bytes into the line; the line
+    // must equal the whole event serialized with the result parsed into
+    // a field, at every worker count and for fresh and cached results.
+    let s = specs(6);
+    let script = [run_request("cold", &s), run_request("warm", &s)].join("\n");
+    for workers in [1usize, 2, 4] {
+        let d = daemon(workers, 64);
+        let mut output = Vec::new();
+        d.serve(Cursor::new(script.clone()), &mut output)
+            .expect("in-memory session");
+        let mut results = 0;
+        for line in String::from_utf8(output).expect("utf-8").lines() {
+            let event = Json::parse(line).expect("response line parses");
+            if event.get("event").and_then(Json::as_str) != Some("result") {
+                continue;
+            }
+            let req = event.get("req").unwrap().as_str().unwrap();
+            let mut fields = proto::event(req, "result");
+            for name in ["index", "key", "cached", "result"] {
+                fields.push((name.to_owned(), event.get(name).unwrap().clone()));
+            }
+            assert_eq!(
+                line,
+                Json::Obj(fields).to_string_compact(),
+                "{workers} workers"
+            );
+            results += 1;
+        }
+        assert_eq!(results, 2 * s.len(), "{workers} workers");
+    }
+}
+
+#[test]
+fn stats_count_single_and_multi_specs_by_kind() {
+    // Hits count too: the counters describe what was asked for, not
+    // what was simulated. A rejected request counts nothing.
+    let d = daemon(2, 64);
+    let run = |id: &str, scenarios: &str| {
+        format!(r#"{{"v":2,"id":"{id}","op":"run","scenarios":[{scenarios}]}}"#)
+    };
+    let mixed = concat!(
+        r#"{"kind":"mix","seed":1,"count":40},"#,
+        r#"{"kind":"multi","seed":2,"cpu_count":40},"#,
+        r#"{"kind":"named","name":"burst_reads"},"#,
+        r#"{"kind":"mix","seed":3,"count":40}"#
+    );
+    let script = [
+        run("cold", mixed),
+        run("warm", mixed),
+        run(
+            "bad",
+            r#"{"kind":"multi","seed":4},{"kind":"named","name":"nope"}"#,
+        ),
+        r#"{"v":2,"id":"s","op":"stats"}"#.to_owned(),
+    ]
+    .join("\n");
+    let mut output = Vec::new();
+    let summary = d
+        .serve(Cursor::new(script), &mut output)
+        .expect("in-memory session");
+    assert_eq!((summary.cache_hits, summary.cache_misses), (4, 4));
+    let text = String::from_utf8(output).expect("utf-8");
+    let stats = Json::parse(text.lines().last().unwrap()).expect("stats line parses");
+    assert_eq!(stats.get("event").and_then(Json::as_str), Some("stats"));
+    let counter = |name: &str| stats.get(name).and_then(Json::as_u64);
+    assert_eq!(counter("scenarios"), Some(8));
+    assert_eq!(counter("single_scenarios"), Some(6));
+    assert_eq!(counter("multi_scenarios"), Some(2));
 }
 
 // ---------------------------------------------------------------------

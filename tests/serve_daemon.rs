@@ -3,7 +3,7 @@
 //! against the batch harness.
 
 use hierbus::harness;
-use hierbus::serve::{Daemon, DaemonOptions, ScenarioSpec};
+use hierbus::serve::{Daemon, DaemonOptions, ScenarioSpec, MAX_LINE_BYTES};
 use hierbus_campaign::Json;
 use hierbus_ec::MixParams;
 use hierbus_power::CharacterizationDb;
@@ -155,6 +155,46 @@ fn ping_stats_and_errors_are_correlated() {
     // ping, stats, and the failed run were handled; malformed lines
     // were answered but never dispatched.
     assert_eq!(summary.requests, 3);
+}
+
+#[test]
+fn hostile_lines_get_errors_and_the_next_request_is_served() {
+    // A ~400 KB line of nested `[` used to overflow the reader's stack
+    // and abort the process; a line past the byte cap used to be
+    // buffered whole. Each must now cost exactly one error event, and
+    // the session must go on to serve the valid run behind them.
+    let d = daemon(2);
+    let mut script = "[".repeat(400_000).into_bytes();
+    script.push(b'\n');
+    script.extend_from_slice(br#"{"v":1,"id":"big","op":"ping","pad":""#);
+    script.resize(script.len() + MAX_LINE_BYTES, b'x');
+    script.extend_from_slice(b"\"}\n");
+    script.extend_from_slice(
+        br#"{"v":1,"id":"ok","op":"run","scenarios":[{"kind":"mix","seed":3,"count":30}]}"#,
+    );
+    script.push(b'\n');
+    let mut output = Vec::new();
+    let summary = d
+        .serve(Cursor::new(script), &mut output)
+        .expect("the session drains cleanly");
+    let events: Vec<Json> = String::from_utf8(output)
+        .expect("utf-8 output")
+        .lines()
+        .map(|l| Json::parse(l).expect("every response line is JSON"))
+        .collect();
+    let names: Vec<&str> = events.iter().map(event_name).collect();
+    assert_eq!(names, ["error", "error", "result", "done"]);
+    let message = |e: &Json| field(e, "message").as_str().unwrap().to_owned();
+    assert!(message(&events[0]).contains("nesting deeper than"));
+    assert!(message(&events[1]).contains(&format!("exceeds {MAX_LINE_BYTES} bytes")));
+    for e in &events[..2] {
+        assert_eq!(field(e, "req").as_str(), Some(""), "no id is recoverable");
+    }
+    for e in &events[2..] {
+        assert_eq!(field(e, "req").as_str(), Some("ok"));
+    }
+    assert!(!summary.shutdown, "EOF drain, not a shutdown");
+    assert_eq!((summary.requests, summary.results), (1, 1));
 }
 
 #[test]
