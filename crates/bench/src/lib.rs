@@ -155,13 +155,22 @@ pub const THROUGHPUT_JSON: &str = "BENCH_throughput.json";
 /// writer runs as a bin from the repo root or as a bench with the
 /// package directory as cwd), falling back to the current directory.
 pub fn throughput_json_path() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    nearest_ancestor_with("Cargo.lock").map_or_else(
+        || PathBuf::from(THROUGHPUT_JSON),
+        |d| d.join(THROUGHPUT_JSON),
+    )
+}
+
+/// The nearest ancestor of the current directory (itself included) that
+/// holds a file named `marker`.
+pub fn nearest_ancestor_with(marker: &str) -> Option<PathBuf> {
+    let mut dir = std::env::current_dir().ok()?;
     loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.join(THROUGHPUT_JSON);
+        if dir.join(marker).exists() {
+            return Some(dir);
         }
         if !dir.pop() {
-            return PathBuf::from(THROUGHPUT_JSON);
+            return None;
         }
     }
 }

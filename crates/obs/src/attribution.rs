@@ -446,6 +446,17 @@ pub fn attribute_cycles(
 /// crate stays dependency-free, hence the closure). Idle cycles stay
 /// untagged — no master owns them. Resolving everything to `None`
 /// reproduces [`attribute_cycles`] exactly.
+///
+/// Cost: one pass over the spans' covered cycles to pick owners, then
+/// one pass over the trace adding each cycle into its bucket's sum.
+/// Buckets are resolved once per owning span, so the heap allocations
+/// depend on the number of distinct buckets, not on trace length or
+/// span count. Each bucket's sum adds its cycles in cycle order starting
+/// from zero — the same f64 sequence as booking cycle by cycle.
+///
+/// Spans are clamped to the trace; a span whose range is empty after
+/// clamping (`begin > end`, or starting past the trace end) owns
+/// nothing.
 pub fn attribute_cycles_by_master(
     layer: &str,
     spans: &[SpanEvent],
@@ -453,46 +464,86 @@ pub fn attribute_cycles_by_master(
     slaves: &SlaveMap,
     master_of: impl Fn(u64) -> Option<&'static str>,
 ) -> EnergyLedger {
-    let mut ledger = EnergyLedger::new(layer);
-    ledger.set_cycles(trace.len() as u64);
-    // owner[c] = (priority rank, span begin, trace id, span index): the
-    // winning span per cycle under the rule above.
-    let mut owner: Vec<Option<(u8, u64, u64, usize)>> = vec![None; trace.len()];
+    assert!(
+        spans.len() < u32::MAX as usize,
+        "attribution supports fewer than u32::MAX spans"
+    );
+    let len = trace.len() as u64;
+    // owner[c] = 1 + index of the span owning cycle c under the rule
+    // above; 0 = uncovered (idle).
+    let mut owner = vec![0u32; trace.len()];
     for (idx, s) in spans.iter().enumerate() {
-        let rank = match s.phase {
-            Phase::Request => continue,
-            Phase::Address => 1u8,
-            Phase::ReadData | Phase::WriteData => 2u8,
-        };
-        let lo = s.begin.min(trace.len() as u64) as usize;
-        let hi = (s.end + 1).min(trace.len() as u64) as usize;
+        if s.phase == Phase::Request {
+            continue;
+        }
+        let lo = s.begin.min(len) as usize;
+        let hi = s.end.saturating_add(1).min(len) as usize;
+        if lo >= hi {
+            continue;
+        }
+        let tag = idx as u32 + 1;
+        let prio = priority(s);
         for slot in &mut owner[lo..hi] {
-            let cand = (rank, s.begin, s.trace_id, idx);
-            let better = match slot {
-                None => true,
-                Some((r, b, id, _)) => {
-                    (rank > *r)
-                        || (rank == *r && (s.begin > *b || (s.begin == *b && s.trace_id < *id)))
-                }
-            };
-            if better {
-                *slot = Some(cand);
+            if *slot == 0 || prio > priority(&spans[*slot as usize - 1]) {
+                *slot = tag;
             }
         }
     }
-    for (c, &pj) in trace.iter().enumerate() {
-        let key = match owner[c] {
-            Some((_, _, _, idx)) => {
-                let s = &spans[idx];
-                let phase = LedgerPhase::from_span_phase(s.phase).unwrap();
-                BucketKey::new(slaves.resolve(s.addr), phase, Some(s.class))
-                    .with_master(master_of(s.trace_id))
-            }
-            None => BucketKey::idle(),
-        };
-        ledger.book(key, pj);
+    // bucket_of[tag] = index into keys/sums of the owner tag's bucket,
+    // resolved the first time that tag owns a cycle, so only buckets
+    // that receive energy exist.
+    const UNRESOLVED: u32 = u32::MAX;
+    let mut bucket_of = vec![UNRESOLVED; spans.len() + 1];
+    let mut keys: Vec<(&str, LedgerPhase, Option<AccessClass>, Option<&'static str>)> = Vec::new();
+    let mut sums: Vec<f64> = Vec::new();
+    for (&tag, &pj) in owner.iter().zip(trace) {
+        let mut b = bucket_of[tag as usize];
+        if b == UNRESOLVED {
+            let key = match tag {
+                0 => ("-", LedgerPhase::Idle, None, None),
+                _ => {
+                    let s = &spans[tag as usize - 1];
+                    let phase = LedgerPhase::from_span_phase(s.phase)
+                        .expect("request spans never own a cycle");
+                    (
+                        slaves.resolve(s.addr),
+                        phase,
+                        Some(s.class),
+                        master_of(s.trace_id),
+                    )
+                }
+            };
+            b = match keys.iter().position(|k| *k == key) {
+                Some(i) => i as u32,
+                None => {
+                    keys.push(key);
+                    sums.push(0.0);
+                    keys.len() as u32 - 1
+                }
+            };
+            bucket_of[tag as usize] = b;
+        }
+        sums[b as usize] += pj;
+    }
+    let mut ledger = EnergyLedger::new(layer);
+    ledger.set_cycles(len);
+    for ((slave, phase, class, master), pj) in keys.into_iter().zip(sums) {
+        let key = BucketKey::new(slave, phase, class).with_master(master);
+        ledger.entries.insert(key, pj);
     }
     ledger
+}
+
+/// A span's claim on a shared cycle: data beats address, then the later
+/// `begin`, then the lower trace id. Strictly greater wins, so on a full
+/// tie the first span keeps the cycle.
+fn priority(s: &SpanEvent) -> (u8, u64, std::cmp::Reverse<u64>) {
+    let rank = match s.phase {
+        Phase::Request => 0,
+        Phase::Address => 1,
+        Phase::ReadData | Phase::WriteData => 2,
+    };
+    (rank, s.begin, std::cmp::Reverse(s.trace_id))
 }
 
 /// One bucket's worth of disagreement between two ledgers.
@@ -792,6 +843,215 @@ mod tests {
             )),
             2.0
         );
+    }
+
+    #[test]
+    fn inverted_span_owns_nothing() {
+        // begin > end + 1 is an empty range, not a panic.
+        let spans = [
+            span(0, Phase::ReadData, 3, 0, 0x10, AccessClass::Read),
+            span(1, Phase::Address, 1, 1, 0x110, AccessClass::Write),
+        ];
+        let trace = [1.0, 2.0, 4.0, 8.0, 16.0];
+        let ledger = attribute_cycles("tlm1", &spans, &trace, &mem_map());
+        assert_eq!(ledger.bucket_count(), 2);
+        assert_eq!(
+            ledger.get(&BucketKey::new(
+                "rom",
+                LedgerPhase::Address,
+                Some(AccessClass::Write)
+            )),
+            2.0
+        );
+        assert_eq!(ledger.get(&BucketKey::idle()), 29.0);
+    }
+
+    #[test]
+    fn span_ending_at_u64_max_is_clamped() {
+        // end + 1 would overflow; the span runs to the trace end. A span
+        // starting at u64::MAX lies wholly past the trace and owns nothing.
+        let spans = [
+            span(0, Phase::ReadData, 2, u64::MAX, 0x10, AccessClass::Read),
+            span(1, Phase::Address, 0, 0, 0x110, AccessClass::Fetch),
+            span(
+                2,
+                Phase::WriteData,
+                u64::MAX,
+                u64::MAX,
+                0x10,
+                AccessClass::Write,
+            ),
+        ];
+        let trace = [1.0, 2.0, 4.0, 8.0];
+        let ledger = attribute_cycles("rtl", &spans, &trace, &mem_map());
+        assert_eq!(ledger.bucket_count(), 3);
+        assert_eq!(
+            ledger.get(&BucketKey::new(
+                "ram",
+                LedgerPhase::ReadData,
+                Some(AccessClass::Read)
+            )),
+            12.0
+        );
+        assert_eq!(
+            ledger.get(&BucketKey::new(
+                "rom",
+                LedgerPhase::Address,
+                Some(AccessClass::Fetch)
+            )),
+            1.0
+        );
+        assert_eq!(ledger.get(&BucketKey::idle()), 2.0);
+    }
+
+    /// The per-cycle algorithm `attribute_cycles_by_master` replaced,
+    /// kept verbatim as the differential reference: one `BucketKey` and
+    /// one `book` per cycle.
+    fn attribute_cycles_reference(
+        layer: &str,
+        spans: &[SpanEvent],
+        trace: &[f64],
+        slaves: &SlaveMap,
+        master_of: impl Fn(u64) -> Option<&'static str>,
+    ) -> EnergyLedger {
+        let mut ledger = EnergyLedger::new(layer);
+        ledger.set_cycles(trace.len() as u64);
+        // owner[c] = (priority rank, span begin, trace id, span index): the
+        // winning span per cycle under the rule above.
+        let mut owner: Vec<Option<(u8, u64, u64, usize)>> = vec![None; trace.len()];
+        for (idx, s) in spans.iter().enumerate() {
+            let rank = match s.phase {
+                Phase::Request => continue,
+                Phase::Address => 1u8,
+                Phase::ReadData | Phase::WriteData => 2u8,
+            };
+            let lo = s.begin.min(trace.len() as u64) as usize;
+            let hi = (s.end + 1).min(trace.len() as u64) as usize;
+            for slot in &mut owner[lo..hi] {
+                let cand = (rank, s.begin, s.trace_id, idx);
+                let better = match slot {
+                    None => true,
+                    Some((r, b, id, _)) => {
+                        (rank > *r)
+                            || (rank == *r && (s.begin > *b || (s.begin == *b && s.trace_id < *id)))
+                    }
+                };
+                if better {
+                    *slot = Some(cand);
+                }
+            }
+        }
+        for (c, &pj) in trace.iter().enumerate() {
+            let key = match owner[c] {
+                Some((_, _, _, idx)) => {
+                    let s = &spans[idx];
+                    let phase = LedgerPhase::from_span_phase(s.phase).unwrap();
+                    BucketKey::new(slaves.resolve(s.addr), phase, Some(s.class))
+                        .with_master(master_of(s.trace_id))
+                }
+                None => BucketKey::idle(),
+            };
+            ledger.book(key, pj);
+        }
+        ledger
+    }
+
+    /// SplitMix64: a seeded generator for the differential test (this
+    /// crate has no dependencies).
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Energies over six decades, with occasional zeros, negative
+        /// zeros and negatives, so the f64 addition order shows.
+        fn pj(&mut self) -> f64 {
+            let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            match self.below(16) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => -unit,
+                k => unit * 10f64.powi(k as i32 % 7 - 3),
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_attribution_matches_per_cycle_reference() {
+        // "ram" twice: two windows may share a name (one bucket).
+        // 0x300.. is unmapped ("-").
+        let mut slaves = SlaveMap::new();
+        slaves
+            .add(0x0, 0x100, "ram")
+            .add(0x100, 0x200, "rom")
+            .add(0x200, 0x300, "ram");
+        let addrs = [0x10, 0x80, 0x110, 0x210, 0x1000];
+        let phases = [
+            Phase::Request,
+            Phase::Address,
+            Phase::ReadData,
+            Phase::WriteData,
+        ];
+        let classes = [AccessClass::Fetch, AccessClass::Read, AccessClass::Write];
+        let tagged = |id: u64| match id % 3 {
+            0 => None,
+            1 => Some("cpu"),
+            _ => Some("dma"),
+        };
+        let mut rng = SplitMix64(0x5eed_a771);
+        let mut nonempty = 0;
+        for case in 0..3000 {
+            // Every 16th trace is empty; spans may start or end past it.
+            let len = if case % 16 == 0 { 0 } else { rng.below(48) };
+            let trace: Vec<f64> = (0..len).map(|_| rng.pj()).collect();
+            // Few distinct begins and ids, so overlaps, equal-begin ties
+            // and full ties are common.
+            let spans: Vec<SpanEvent> = (0..rng.below(24))
+                .map(|_| {
+                    let begin = rng.below(len + 6);
+                    span(
+                        rng.below(6),
+                        phases[rng.below(4) as usize],
+                        begin,
+                        begin + rng.below(8),
+                        addrs[rng.below(5) as usize],
+                        classes[rng.below(3) as usize],
+                    )
+                })
+                .collect();
+            let (got, want) = if case % 2 == 0 {
+                (
+                    attribute_cycles_by_master("rtl", &spans, &trace, &slaves, tagged),
+                    attribute_cycles_reference("rtl", &spans, &trace, &slaves, tagged),
+                )
+            } else {
+                (
+                    attribute_cycles("tlm1", &spans, &trace, &slaves),
+                    attribute_cycles_reference("tlm1", &spans, &trace, &slaves, |_| None),
+                )
+            };
+            let bits = |l: &EnergyLedger| -> Vec<(BucketKey, u64)> {
+                l.entries().map(|(k, v)| (k.clone(), v.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "case {case}: {spans:?} {trace:?}");
+            assert_eq!(got.bucket_count(), want.bucket_count(), "case {case}");
+            assert_eq!(got.cycles(), want.cycles(), "case {case}");
+            assert_eq!(got.to_json(), want.to_json(), "case {case}");
+            assert_eq!(got.folded(), want.folded(), "case {case}");
+            nonempty += usize::from(got.bucket_count() > 1);
+        }
+        // The generator really produced multi-bucket ledgers.
+        assert!(nonempty > 1000, "only {nonempty} multi-bucket cases");
     }
 
     #[test]

@@ -199,6 +199,11 @@ impl Layer1EnergyModel {
     /// [`enable_trace`](Self::enable_trace) was on. Attribution is a
     /// partition of the trace, so the ledger total matches
     /// [`total_energy`](Self::total_energy) up to f64 regrouping.
+    ///
+    /// The cost is one pass over the spans' covered cycles and one over
+    /// the trace, with buckets resolved once per owning span; its heap
+    /// allocations depend on the number of buckets, not on the trace
+    /// length (see [`hierbus_obs::attribute_cycles_by_master`]).
     pub fn ledger(
         &self,
         spans: &[hierbus_obs::SpanEvent],
