@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate — the same steps the GitHub Actions workflow runs.
+# CI gate — the GitHub Actions workflow runs this script as its one step.
 # Everything is offline: the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -10,19 +10,8 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release --workspace --all-targets
 
-echo "==> cargo test (SIMD backends, runtime-detected)"
+echo "==> cargo test"
 cargo test -q --workspace
-
-echo "==> cargo test (scalar backend forced)"
-# The packed layer-1 engine ships a guaranteed-available scalar kernel
-# behind the same trait as the SIMD ones; forcing it keeps the fallback
-# from rotting on machines where the vector path always wins detection.
-HIERBUS_PACKED_BACKEND=scalar cargo test -q --workspace
-
-echo "==> cargo test (simd feature disabled at compile time)"
-# Belt and braces for the portability story: hierbus-power must build
-# and pass its own suite with no intrinsics compiled at all.
-cargo test -q -p hierbus-power --no-default-features
 
 echo "==> benchmark package tests (tiny sizes)"
 # The benchmark is a cargo package of its own, so the workspace runs
@@ -40,15 +29,13 @@ cargo run --release -p hierbus-bench --bin explore_jcvm -- --smoke --workers 2
 echo "==> arbitration smoke (both policies, DMA on/off, three layers)"
 # Cross-layer equivalence gate for the multi-master path: per-master
 # outcomes, committed memory, cycle- and grant-exact layer 1, the 1e-9
-# energy pin and the per-master ledger partition — once on the detected
-# SIMD backend and once on the forced scalar kernel.
+# energy pin and the per-master ledger partition.
 cargo run --release -p hierbus-bench --bin arbitration_smoke
-HIERBUS_PACKED_BACKEND=scalar cargo run --release -p hierbus-bench --bin arbitration_smoke
 
 echo "==> bench smoke (hot-path differential + scaling regression, release)"
-# The perf layer's correctness story: the packed diff must stay
-# bit-exact against the bit-loop reference, and 2-worker campaigns must
-# not lose throughput (the test skips itself on single-CPU runners).
+# The perf layer's correctness story: the per-frame layer-1 path must
+# stay bit-exact against the bit-loop oracle, and 2-worker campaigns
+# must not lose throughput (the test skips itself on single-CPU runners).
 cargo test --release -q --test energy_hotpath_diff --test campaign_scaling_regression -- --nocapture
 
 echo "==> serve daemon smoke (cold run, cached replay, drain)"
@@ -96,8 +83,8 @@ echo "==> serve telemetry gate (traces, event log, exposition)"
 cargo run --release -p hierbus-bench --bin check_telemetry
 
 echo "==> throughput JSON schema gate"
-# BENCH_throughput.json must parse and carry the speedup/scaling fields
-# the regression tracking depends on.
+# BENCH_throughput.json must parse and carry the throughput/scaling
+# fields the regression tracking depends on.
 cargo run --release -p hierbus-bench --bin check_throughput
 
 echo "==> results staleness gate (deterministic tables)"

@@ -10,10 +10,10 @@
 
 use hierbus::harness;
 use hierbus_bench::{grouped, throughput, time_best, TextTable, THROUGHPUT_JSON};
-use hierbus_campaign::{CampaignPayload, ClaimStrategy, Json, Matrix};
+use hierbus_campaign::{CampaignPayload, Json, Matrix};
 use hierbus_ec::sequences::{random_mix, MixParams};
 use hierbus_ec::SignalFrame;
-use hierbus_power::{Backend, BatchedLayer1, CharacterizationDb, Layer1EnergyModel};
+use hierbus_power::{CharacterizationDb, Layer1EnergyModel};
 
 const TXNS: usize = 4_000;
 const REPS: usize = 5;
@@ -100,32 +100,6 @@ fn main() {
         }
         model.total_energy() as usize
     });
-    // The packed-vs-scalar pair on the pure model path (no bus): the
-    // same frame stream through the lane-parallel block engine and
-    // through the pre-optimization bit-loop reference — the regression
-    // anchors behind `packed_speedup` without simulation cost diluting
-    // the ratio.
-    let packed_label = format!("energy_model/layer1_packed ({})", Backend::active().name());
-    bench(&packed_label, frames, &mut || {
-        let mut batched = BatchedLayer1::new(Layer1EnergyModel::new(CharacterizationDb::uniform()));
-        let mut frame = SignalFrame::default();
-        for i in 0..frames {
-            frame.a_addr = i.wrapping_mul(0x9E37_79B9);
-            frame.r_data = (i as u32).rotate_left(7);
-            batched.on_frame(&frame);
-        }
-        batched.model().total_energy() as usize
-    });
-    bench("energy_model/layer1_bitloop_reference", frames, &mut || {
-        let mut model = Layer1EnergyModel::new(CharacterizationDb::uniform());
-        let mut frame = SignalFrame::default();
-        for i in 0..frames {
-            frame.a_addr = i.wrapping_mul(0x9E37_79B9);
-            frame.r_data = (i as u32).rotate_left(7);
-            model.on_frame_reference(&frame);
-        }
-        model.total_energy() as usize
-    });
 
     println!("bus_throughput micro-benchmarks (best of {REPS}):\n");
     println!("{}", table.render());
@@ -158,33 +132,15 @@ fn main() {
     }
     worker_counts.sort_unstable();
     worker_counts.dedup();
-    // Old engine arm: per-scenario atomic claiming, a fresh model per
-    // scenario and the bit-loop reference diff — the code path the
-    // committed baseline was measured on.
-    let old_scaling = hierbus_campaign::measure_scaling_with::<(), MixCell, _, _>(
-        &matrix,
-        "bus_throughput_campaign_old",
-        &worker_counts,
-        ClaimStrategy::PerScenario,
-        || (),
-        |(), point| {
-            let run = harness::run_layer1_reference(&scenarios[point.coords[0]], &db);
-            MixCell {
-                cycles: run.cycles,
-                energy_pj: run.energy_pj,
-            }
-        },
-    );
-    // New engine arm: chunked claiming and one reset-reused lean session
-    // per worker over the packed hot path — no per-transaction records
-    // and no per-cycle trace, because the payload keeps neither. Cycles
-    // and energy stay bit-identical to the old arm's
+    // Chunked claiming and one reset-reused lean session per worker —
+    // no per-transaction records and no per-cycle trace, because the
+    // payload keeps neither. Cycles and energy stay bit-identical to
+    // `harness::run_layer1`
     // (`proptest_invariants::lean_session_matches_full_runner_bit_exact`).
     let scaling = hierbus_campaign::measure_scaling_with::<harness::Layer1LeanSession, MixCell, _, _>(
         &matrix,
         "bus_throughput_campaign",
         &worker_counts,
-        ClaimStrategy::Chunked,
         || harness::Layer1LeanSession::new(&db),
         |session, point| {
             let run = session.run(&scenarios[point.coords[0]]);
@@ -195,22 +151,13 @@ fn main() {
         },
     );
     let base = scaling[0].scenarios_per_sec;
-    let mut scale_table = TextTable::new([
-        "workers",
-        "wall",
-        "scenarios/s",
-        "old scen/s",
-        "speedup (new/old)",
-        "scaling (vs 1w)",
-        "busy",
-    ]);
-    for (p, old) in scaling.iter().zip(&old_scaling) {
+    let mut scale_table =
+        TextTable::new(["workers", "wall", "scenarios/s", "scaling (vs 1w)", "busy"]);
+    for p in &scaling {
         scale_table.row([
             p.workers.to_string(),
             format!("{:.2?}", p.wall),
             format!("{:.1}", p.scenarios_per_sec),
-            format!("{:.1}", old.scenarios_per_sec),
-            format!("{:.2}x", p.scenarios_per_sec / old.scenarios_per_sec),
             format!("{:.2}x", p.scenarios_per_sec / base),
             format!("{:.0}%", p.busy_frac * 100.0),
         ]);
@@ -228,19 +175,10 @@ fn main() {
             Json::Arr(
                 scaling
                     .iter()
-                    .zip(&old_scaling)
-                    .map(|(p, old)| {
+                    .map(|p| {
                         Json::Obj(vec![
                             ("workers".to_owned(), Json::Num(p.workers as f64)),
                             ("scenarios_per_s".to_owned(), Json::Num(p.scenarios_per_sec)),
-                            (
-                                "old_scenarios_per_s".to_owned(),
-                                Json::Num(old.scenarios_per_sec),
-                            ),
-                            (
-                                "speedup".to_owned(),
-                                Json::Num(p.scenarios_per_sec / old.scenarios_per_sec),
-                            ),
                             ("scaling".to_owned(), Json::Num(p.scenarios_per_sec / base)),
                             ("busy_frac".to_owned(), Json::Num(p.busy_frac)),
                             ("utilization".to_owned(), Json::Num(p.utilization)),

@@ -9,8 +9,11 @@
 //! * `gain`: the change wins at least nine tenths of the pairs (ties
 //!   count for neither side) and its median is better than the parent's
 //!   by more than the parent's own interquartile range;
-//! * `bound`: the change's median is no worse than the parent's by more
-//!   than the metric's relative bound.
+//! * `bound`: `ok` when the change's median is no worse than the
+//!   parent's by more than the metric's relative bound, `WORSE` when it
+//!   is, and `unresolved` when it is within the bound but the parent's
+//!   own spread (q3 − q1) is wider than the bound, so the runs cannot
+//!   tell — unless every change run reads better than every parent run.
 //!
 //! Pair `i` runs seed `seed-base + i` on both sides; an even seed runs
 //! the parent first, an odd seed the change, so neither side always
@@ -206,6 +209,9 @@ struct Summary {
     gain: bool,
     /// The median is no worse than the parent's by more than the bound.
     within_bound: bool,
+    /// The parent's IQR fits inside the bound, or every change run
+    /// beats every parent run; otherwise the bound check is unresolved.
+    resolved: bool,
 }
 
 /// Compares index-aligned pairs of runs of one metric.
@@ -226,6 +232,7 @@ fn summarize(metric: &Metric, parent: &[f64], change: &[f64]) -> Summary {
         .filter(|&(&p, &c)| better(c, p))
         .count();
     let pairs = parent.len();
+    let dominates = change.iter().all(|&c| parent.iter().all(|&p| better(c, p)));
     let worsening = if metric.higher_is_better {
         p.median - c.median
     } else {
@@ -241,6 +248,7 @@ fn summarize(metric: &Metric, parent: &[f64], change: &[f64]) -> Summary {
             && better(c.median, p.median)
             && (c.median - p.median).abs() > p.q3 - p.q1,
         within_bound: worsening <= metric.bound * p.median.abs(),
+        resolved: p.q3 - p.q1 <= metric.bound * p.median.abs() || dominates,
     }
 }
 
@@ -265,7 +273,12 @@ fn render(metrics: &[Metric], summaries: &[Summary]) -> String {
             hierbus_bench::pct(s.delta),
             format!("{}/{}", s.wins, s.pairs),
             (if s.gain { "yes" } else { "no" }).to_owned(),
-            (if s.within_bound { "ok" } else { "WORSE" }).to_owned(),
+            (match (s.within_bound, s.resolved) {
+                (false, _) => "WORSE",
+                (true, false) => "unresolved",
+                (true, true) => "ok",
+            })
+            .to_owned(),
         ]);
     }
     table.render()
@@ -406,5 +419,28 @@ mod tests {
         let s = summarize(&metric(false), &parent, &[130.0; 4]);
         assert!(!s.within_bound);
         assert!(!s.gain);
+    }
+
+    #[test]
+    fn wide_parent_spread_is_unresolved_unless_the_change_dominates() {
+        // Parent IQR 40 on a median of 100: wider than the 0.25 bound.
+        let parent = [60.0, 100.0, 140.0, 60.0, 100.0, 140.0];
+        let s = summarize(&metric(true), &parent, &[100.0; 6]);
+        assert!(s.within_bound);
+        assert!(!s.resolved);
+        let table = render(&[metric(true)], &[s]);
+        assert!(table.contains("unresolved"), "{table}");
+        // Every change run beats every parent run: resolved after all.
+        let s = summarize(&metric(true), &parent, &[150.0; 6]);
+        assert!(s.resolved);
+        let s = summarize(&metric(false), &parent, &[50.0; 6]);
+        assert!(s.resolved);
+        // A narrow parent spread resolves without dominance.
+        let s = summarize(&metric(true), &[100.0, 101.0, 99.0, 100.0], &[98.0; 4]);
+        assert!(s.within_bound && s.resolved);
+        // A worsening beyond the bound reads WORSE, whatever the spread.
+        let s = summarize(&metric(true), &parent, &[40.0; 6]);
+        assert!(!s.within_bound);
+        assert!(render(&[metric(true)], &[s]).contains("WORSE"));
     }
 }

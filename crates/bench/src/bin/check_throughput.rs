@@ -5,20 +5,15 @@
 //! every revision writes the same shape, so this binary verifies the
 //! committed file parses and carries the fields the scaling analysis
 //! depends on: each `campaign_*` section must list per-worker entries
-//! with `workers`, `scenarios_per_s`, `old_scenarios_per_s`, `speedup`
-//! (new-engine vs old-engine throughput at the same worker count) and
-//! `scaling` (new-engine throughput vs its own 1-worker point), and the
-//! `layers` section must carry the Table 3 kT/s numbers including the
-//! hot-path old-vs-new pair. Worker entries may additionally carry the
+//! with `workers`, `scenarios_per_s` and `scaling` (throughput vs the
+//! 1-worker point), and the `layers` section must carry the Table 3
+//! kT/s numbers. Worker entries may additionally carry the
 //! profiler-derived `busy_frac` and `utilization` fractions; files
 //! written before the profiler existed omit them, so they are optional —
 //! but when present they must be numeric and in `[0, 1]`. The `serve`
 //! section (written by `serve_bench`) must list per-worker cold/warm
 //! request latencies with the warm one strictly below the cold one —
-//! the daemon's result cache earning its keep. The `layers` section is
-//! additionally gated on `packed_speedup` — the lane-parallel layer-1
-//! arm must hold its floor over the bit-loop reference unless the file
-//! was produced by a scalar-forced run. Exits non-zero with a
+//! the daemon's result cache earning its keep. Exits non-zero with a
 //! description of the first violation.
 //!
 //! Run with `cargo run --release -p hierbus-bench --bin check_throughput`.
@@ -28,10 +23,6 @@ use std::process::ExitCode;
 
 const LAYER_FIELDS: &[&str] = &[
     "tlm1_with_kts",
-    "tlm1_packed_kts",
-    "packed_speedup",
-    "tlm1_with_reference_kts",
-    "tlm1_hotpath_speedup",
     "tlm1_without_kts",
     "tlm1_observed_kts",
     "tlm2_with_kts",
@@ -39,20 +30,7 @@ const LAYER_FIELDS: &[&str] = &[
     "tlm3_kts",
 ];
 
-/// The lane-parallel engine must beat the bit-loop reference by at
-/// least this factor in the same `table3_simperf` run. Only enforced
-/// when the recorded `packed_backend` is a SIMD kernel — a scalar-forced
-/// run (e.g. `HIERBUS_PACKED_BACKEND=scalar` in CI's portability leg)
-/// still validates the schema without pretending to have vector lanes.
-const MIN_PACKED_SPEEDUP: f64 = 2.0;
-
-const WORKER_FIELDS: &[&str] = &[
-    "workers",
-    "scenarios_per_s",
-    "old_scenarios_per_s",
-    "speedup",
-    "scaling",
-];
+const WORKER_FIELDS: &[&str] = &["workers", "scenarios_per_s", "scaling"];
 
 /// Fields added by the pool profiler: optional for backwards
 /// compatibility with pre-profiler files, but unit-interval fractions
@@ -87,17 +65,6 @@ fn check(root: &Json) -> Result<(), String> {
             .get(field)
             .and_then(Json::as_f64)
             .ok_or(format!("layers: missing or non-numeric field {field}"))?;
-    }
-    let backend = layers
-        .get("packed_backend")
-        .and_then(Json::as_str)
-        .ok_or("layers: missing packed_backend name")?;
-    let speedup = layers.get("packed_speedup").unwrap().as_f64().unwrap();
-    if backend != "scalar" && speedup < MIN_PACKED_SPEEDUP {
-        return Err(format!(
-            "layers: packed_speedup {speedup:.2} below the {MIN_PACKED_SPEEDUP:.1}x floor \
-             for the {backend} backend (tlm1_packed_kts vs tlm1_with_reference_kts, same run)"
-        ));
     }
     for section in ["campaign_bus", "campaign_explore"] {
         let s = root

@@ -16,7 +16,7 @@
 use hierbus::harness;
 use hierbus::observe;
 use hierbus_bench::TextTable;
-use hierbus_campaign::{CampaignPayload, ClaimStrategy, Json, Matrix};
+use hierbus_campaign::{CampaignPayload, Json, Matrix};
 use hierbus_ec::sequences::{random_mix, MixParams};
 use hierbus_obs::profiling::{scaling_audit, AuditInput, CountingAlloc};
 use std::path::Path;
@@ -83,7 +83,6 @@ fn main() -> ExitCode {
             &matrix,
             "scaling_audit_bus",
             &WORKER_COUNTS,
-            ClaimStrategy::Chunked,
             true,
             || harness::Layer1LeanSession::new(&db),
             |session, point| {

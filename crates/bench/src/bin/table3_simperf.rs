@@ -73,9 +73,6 @@ fn main() {
     let db = harness::shared_db();
 
     let l1_with = measure(|| harness::perf::layer1(&scenario, &db));
-    let l1_packed = measure(|| harness::perf::layer1_packed(&scenario, &db));
-    let l1_with_reference = measure(|| harness::perf::layer1_reference(&scenario, &db));
-    let packed_backend = hierbus::power::Backend::active();
     let l1_without = measure(|| harness::perf::layer1_timing(&scenario));
     let l2_with = measure(|| harness::perf::layer2(&scenario, &db));
     let l2_without = measure(|| harness::perf::layer2_timing(&scenario));
@@ -112,14 +109,6 @@ fn main() {
     ]);
     println!("Table 3 — simulation performance (paper factors: 1 / 1.1 / 1.52 / 1.7):\n");
     println!("{}", table3.render());
-    println!(
-        "Layer-1 hot path: {l1_packed:.1} kT/s packed ({} backend, {} lanes) vs \
-         {l1_with:.1} kT/s scalar vs {l1_with_reference:.1} kT/s bit-loop reference \
-         ({:.2}x over reference)\n",
-        packed_backend.name(),
-        packed_backend.lanes(),
-        l1_packed / l1_with_reference
-    );
 
     // Observability overhead: the span/counter probes are compiled into
     // every bus model and branch on a `enabled` flag. With obs off the
@@ -173,27 +162,7 @@ fn main() {
     let workloads = standard_workloads();
     let matrix = explore_matrix(&configs, &workloads);
     let worker_counts = scaling_worker_counts();
-    // Old engine arm: per-scenario claiming with a fresh energy model
-    // per scenario driving the bit-loop reference diff — the code path
-    // the committed baseline measured.
-    let old_scaling =
-        hierbus_campaign::measure_scaling_with::<(), hierbus_jcvm::ExplorationRow, _, _>(
-            &matrix,
-            "table3_campaign_old",
-            &worker_counts,
-            hierbus_campaign::ClaimStrategy::PerScenario,
-            || (),
-            |(), point| {
-                hierbus_jcvm::run_config_reference(
-                    configs[point.coords[0]],
-                    &workloads[point.coords[1]],
-                    &db,
-                )
-                .expect("exploration scenario runs")
-            },
-        );
-    // New engine arm: chunked claiming, one reset-reused session per
-    // worker.
+    // Chunked claiming, one reset-reused session per worker.
     let scaling = hierbus_campaign::measure_scaling_with::<
         hierbus_jcvm::ExploreSession,
         hierbus_jcvm::ExplorationRow,
@@ -203,7 +172,6 @@ fn main() {
         &matrix,
         "table3_campaign",
         &worker_counts,
-        hierbus_campaign::ClaimStrategy::Chunked,
         || hierbus_jcvm::ExploreSession::new(&db),
         |session, point| {
             session
@@ -212,22 +180,13 @@ fn main() {
         },
     );
     let base_sps = scaling[0].scenarios_per_sec;
-    let mut scale_table = TextTable::new([
-        "workers",
-        "wall",
-        "scenarios/s",
-        "old scen/s",
-        "speedup (new/old)",
-        "scaling (vs 1w)",
-        "busy",
-    ]);
-    for (p, old) in scaling.iter().zip(&old_scaling) {
+    let mut scale_table =
+        TextTable::new(["workers", "wall", "scenarios/s", "scaling (vs 1w)", "busy"]);
+    for p in &scaling {
         scale_table.row([
             p.workers.to_string(),
             format!("{:.2?}", p.wall),
             format!("{:.1}", p.scenarios_per_sec),
-            format!("{:.1}", old.scenarios_per_sec),
-            format!("{:.2}x", p.scenarios_per_sec / old.scenarios_per_sec),
             format!("{:.2}x", p.scenarios_per_sec / base_sps),
             format!("{:.0}%", p.busy_frac * 100.0),
         ]);
@@ -241,23 +200,6 @@ fn main() {
     // Machine-readable perf trajectory for regression tracking.
     let layer_fields = vec![
         ("tlm1_with_kts".to_owned(), Json::Num(l1_with)),
-        ("tlm1_packed_kts".to_owned(), Json::Num(l1_packed)),
-        (
-            "packed_backend".to_owned(),
-            Json::Str(packed_backend.name().to_owned()),
-        ),
-        (
-            "packed_speedup".to_owned(),
-            Json::Num(l1_packed / l1_with_reference),
-        ),
-        (
-            "tlm1_with_reference_kts".to_owned(),
-            Json::Num(l1_with_reference),
-        ),
-        (
-            "tlm1_hotpath_speedup".to_owned(),
-            Json::Num(l1_with / l1_with_reference),
-        ),
         ("tlm1_without_kts".to_owned(), Json::Num(l1_without)),
         ("tlm1_observed_kts".to_owned(), Json::Num(l1_obs_on)),
         ("tlm2_with_kts".to_owned(), Json::Num(l2_with)),
@@ -271,19 +213,10 @@ fn main() {
             Json::Arr(
                 scaling
                     .iter()
-                    .zip(&old_scaling)
-                    .map(|(p, old)| {
+                    .map(|p| {
                         Json::Obj(vec![
                             ("workers".to_owned(), Json::Num(p.workers as f64)),
                             ("scenarios_per_s".to_owned(), Json::Num(p.scenarios_per_sec)),
-                            (
-                                "old_scenarios_per_s".to_owned(),
-                                Json::Num(old.scenarios_per_sec),
-                            ),
-                            (
-                                "speedup".to_owned(),
-                                Json::Num(p.scenarios_per_sec / old.scenarios_per_sec),
-                            ),
                             (
                                 "scaling".to_owned(),
                                 Json::Num(p.scenarios_per_sec / base_sps),

@@ -33,30 +33,12 @@ pub trait CampaignPayload: Sized + Send {
     fn from_json(json: &Json) -> Option<Self>;
 }
 
-/// How workers claim scenarios from the shared work list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClaimStrategy {
-    /// Claim contiguous chunks sized from `todo / (workers × 4)` — one
-    /// atomic op per chunk, keeping claim overhead off the per-scenario
-    /// path while the ×4 oversubscription still balances uneven
-    /// scenario costs.
-    #[default]
-    Chunked,
-    /// Claim one scenario per atomic op — the engine's original
-    /// policy, kept as the benchmark comparator (and for differential
-    /// tests: both strategies must merge byte-identically).
-    PerScenario,
-}
-
-impl ClaimStrategy {
-    /// The chunk size this strategy claims for `todo` pending scenarios
-    /// on `workers` threads (always ≥ 1).
-    pub fn chunk_size(self, todo: usize, workers: usize) -> usize {
-        match self {
-            ClaimStrategy::PerScenario => 1,
-            ClaimStrategy::Chunked => (todo / (workers * 4)).max(1),
-        }
-    }
+/// The chunk a worker claims per atomic op for `todo` pending
+/// scenarios on `workers` threads (always ≥ 1): `todo / (workers × 4)`,
+/// which keeps claim overhead off the per-scenario path while the ×4
+/// oversubscription still balances uneven scenario costs.
+fn chunk_size(todo: usize, workers: usize) -> usize {
+    (todo / (workers * 4)).max(1)
 }
 
 /// How a campaign executes.
@@ -73,9 +55,6 @@ pub struct CampaignOptions {
     /// Process only the first `limit` scenarios of the matrix —
     /// simulates an interrupted campaign and powers CI smoke runs.
     pub limit: Option<usize>,
-    /// Work-claiming policy; [`ClaimStrategy::Chunked`] unless a
-    /// benchmark explicitly asks for the legacy comparator.
-    pub claim: ClaimStrategy,
     /// Record per-worker phase timelines and contention counters into
     /// [`CampaignReport::profile`]. Off by default: a disabled profiler
     /// reduces every probe to one branch (no clock reads, no
@@ -104,7 +83,6 @@ impl CampaignOptions {
             workers: 1,
             manifest_path: None,
             limit: None,
-            claim: ClaimStrategy::default(),
             profile: false,
             trace_id: None,
             epoch: None,
@@ -257,8 +235,8 @@ where
 /// Determinism contract: the runner must produce the same result for a
 /// point whether its state is fresh or reused — reset-reuse must be
 /// observationally identical to rebuilding. Under that contract the
-/// merged output stays byte-identical for any worker count and claim
-/// strategy, exactly as for [`run`].
+/// merged output stays byte-identical for any worker count, exactly as
+/// for [`run`].
 ///
 /// # Errors
 ///
@@ -360,7 +338,7 @@ where
     let limit = opts.limit.unwrap_or(total).min(total);
     let todo: Vec<usize> = (0..limit).filter(|&i| results[i].is_none()).collect();
     let workers = opts.workers.max(1).min(todo.len().max(1));
-    let chunk = opts.claim.chunk_size(todo.len(), workers);
+    let chunk = chunk_size(todo.len(), workers);
 
     let profiler = Profiler::new(opts.profile);
     let started = Instant::now();
@@ -609,15 +587,13 @@ where
         matrix,
         name,
         worker_counts,
-        ClaimStrategy::default(),
         || (),
         |(), point| runner(point),
     )
 }
 
-/// [`measure_scaling`] over the stateful [`run_with`] path with an
-/// explicit claim strategy — the instrument behind the old-vs-new
-/// engine comparison in `BENCH_throughput.json`.
+/// [`measure_scaling`] over the stateful [`run_with`] path, with one
+/// worker state per thread reused across scenarios.
 ///
 /// # Panics
 ///
@@ -626,7 +602,6 @@ pub fn measure_scaling_with<S, R, F, I>(
     matrix: &Matrix,
     name: &str,
     worker_counts: &[usize],
-    claim: ClaimStrategy,
     make_state: I,
     runner: F,
 ) -> Vec<ScalingPoint>
@@ -635,15 +610,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &ScenarioPoint) -> R + Sync,
 {
-    measure_scaling_profiled(
-        matrix,
-        name,
-        worker_counts,
-        claim,
-        false,
-        make_state,
-        runner,
-    )
+    measure_scaling_profiled(matrix, name, worker_counts, false, make_state, runner)
 }
 
 /// [`measure_scaling_with`] with the pool profiler optionally enabled:
@@ -661,7 +628,6 @@ pub fn measure_scaling_profiled<S, R, F, I>(
     matrix: &Matrix,
     name: &str,
     worker_counts: &[usize],
-    claim: ClaimStrategy,
     profile: bool,
     make_state: I,
     runner: F,
@@ -675,7 +641,6 @@ where
         .iter()
         .map(|&workers| {
             let opts = CampaignOptions {
-                claim,
                 profile,
                 ..CampaignOptions::with_workers(name, workers)
             };
@@ -754,7 +719,7 @@ mod tests {
         let base = run(&m, &CampaignOptions::sequential("toy"), toy_runner).unwrap();
         assert!(base.is_complete());
         assert_eq!(base.stats.executed, 12);
-        for workers in [2, 4, 7] {
+        for workers in [2, 3, 4, 7, 8] {
             let par = run(
                 &m,
                 &CampaignOptions::with_workers("toy", workers),
@@ -860,31 +825,10 @@ mod tests {
 
     #[test]
     fn chunk_size_derivation() {
-        assert_eq!(ClaimStrategy::Chunked.chunk_size(64, 2), 8);
-        assert_eq!(ClaimStrategy::Chunked.chunk_size(16, 4), 1);
-        assert_eq!(ClaimStrategy::Chunked.chunk_size(0, 1), 1);
-        assert_eq!(ClaimStrategy::Chunked.chunk_size(1000, 1), 250);
-        assert_eq!(ClaimStrategy::PerScenario.chunk_size(1000, 4), 1);
-    }
-
-    #[test]
-    fn claim_strategies_merge_identically() {
-        let m = matrix();
-        let mut renders = Vec::new();
-        for claim in [ClaimStrategy::Chunked, ClaimStrategy::PerScenario] {
-            for workers in [1, 3, 8] {
-                let opts = CampaignOptions {
-                    claim,
-                    ..CampaignOptions::with_workers("toy", workers)
-                };
-                let report = run(&m, &opts, toy_runner).unwrap();
-                assert!(report.is_complete(), "{claim:?} {workers} workers");
-                renders.push(render(&report));
-            }
-        }
-        for r in &renders[1..] {
-            assert_eq!(r, &renders[0], "claim strategy changed the merge");
-        }
+        assert_eq!(chunk_size(64, 2), 8);
+        assert_eq!(chunk_size(16, 4), 1);
+        assert_eq!(chunk_size(0, 1), 1);
+        assert_eq!(chunk_size(1000, 1), 250);
     }
 
     #[test]
@@ -1010,7 +954,6 @@ mod tests {
             &matrix(),
             "toy",
             &[1, 2],
-            ClaimStrategy::Chunked,
             true,
             || (),
             |(), p| toy_runner(p),

@@ -40,8 +40,8 @@ pub mod matrix;
 
 pub use engine::{
     measure_scaling, measure_scaling_profiled, measure_scaling_with, run, run_with, run_with_sink,
-    CampaignOptions, CampaignPayload, CampaignReport, CampaignStats, ClaimStrategy, ScalingPoint,
-    SinkScope, WorkerStats, SCALING_REPS,
+    CampaignOptions, CampaignPayload, CampaignReport, CampaignStats, ScalingPoint, SinkScope,
+    WorkerStats, SCALING_REPS,
 };
 pub use fingerprint::Fingerprint;
 pub use json::Json;

@@ -19,6 +19,7 @@
 //! key order, so a campaign merging per-scenario ledgers in index
 //! order is byte-identical at any worker count.
 
+use crate::perfetto::escape;
 use crate::span::{AccessClass, Phase, SpanEvent, TraceCollector};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -401,20 +402,6 @@ impl EnergyLedger {
             .sum::<f64>()
             + 0.0
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Builds a ledger from a per-cycle energy trace plus the span record

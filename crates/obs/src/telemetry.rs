@@ -32,6 +32,7 @@
 //! [`Profiler`]: crate::profiling::Profiler
 
 use crate::metrics::MetricsSnapshot;
+use crate::perfetto::escape;
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
@@ -157,20 +158,6 @@ impl From<String> for Value {
     fn from(v: String) -> Self {
         Value::Str(v)
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One structured event: severity, a static name, typed fields.

@@ -3,9 +3,7 @@
 //! worker count, and a resumed campaign must skip completed scenarios
 //! without changing the final output.
 
-use hierbus_campaign::{
-    CampaignOptions, CampaignPayload, ClaimStrategy, Json, Matrix, ScenarioPoint,
-};
+use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix, ScenarioPoint};
 use hierbus_jcvm::workloads::standard_workloads;
 use hierbus_jcvm::{
     explore_campaign, explore_matrix, run_config, ExplorationRow, ExploreSession, IfaceConfig,
@@ -156,23 +154,18 @@ fn interrupted_campaign_resumes_without_recomputing() {
 }
 
 #[test]
-fn claim_strategies_produce_identical_output_at_every_worker_count() {
+fn reused_sessions_match_fresh_runs_at_every_worker_count() {
     // Chunked claiming with reset-reused sessions must be byte-identical
-    // to the old per-scenario claiming with fresh sessions — the
-    // determinism contract of the engine optimization.
+    // to a plain loop over the matrix with a fresh run per scenario.
     let db = Arc::new(CharacterizationDb::uniform());
     let configs = test_configs();
     let workloads = &standard_workloads()[..2];
     let matrix = explore_matrix(&configs, workloads);
 
-    let run_at = |workers: usize, claim: ClaimStrategy| {
-        let opts = CampaignOptions {
-            claim,
-            ..CampaignOptions::with_workers("claims", workers)
-        };
+    let run_at = |workers: usize| {
         let report = hierbus_campaign::run_with(
             &matrix,
-            &opts,
+            &CampaignOptions::with_workers("claims", workers),
             || ExploreSession::new(&db),
             |session, point: &ScenarioPoint| {
                 session
@@ -185,15 +178,20 @@ fn claim_strategies_produce_identical_output_at_every_worker_count() {
         render(&rows)
     };
 
-    let baseline = run_at(1, ClaimStrategy::PerScenario);
+    let fresh: Vec<ExplorationRow> = matrix
+        .points()
+        .iter()
+        .map(|point| {
+            run_config(configs[point.coords[0]], &workloads[point.coords[1]], &db).unwrap()
+        })
+        .collect();
+    let baseline = render(&fresh);
     for workers in [1usize, 2, 4, 8] {
-        for claim in [ClaimStrategy::Chunked, ClaimStrategy::PerScenario] {
-            assert_eq!(
-                run_at(workers, claim),
-                baseline,
-                "output differs at {workers} workers with {claim:?}"
-            );
-        }
+        assert_eq!(
+            run_at(workers),
+            baseline,
+            "output differs at {workers} workers"
+        );
     }
 }
 
@@ -218,7 +216,6 @@ fn interrupted_chunked_campaign_resumes_byte_identically() {
             &CampaignOptions {
                 manifest_path: Some(manifest.clone()),
                 limit,
-                claim: ClaimStrategy::Chunked,
                 ..CampaignOptions::with_workers("chunked_resume", workers)
             },
             || ExploreSession::new(&db),
